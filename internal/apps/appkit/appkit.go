@@ -1,8 +1,8 @@
 // Package appkit provides the shared vocabulary of the benchmark
 // applications: run outcomes matching the error classes of the paper's
 // Tables 1 and 2 (exception, stall, test failure, crash, log corruption,
-// log omission, log disorder), stall detection by deadline, and panic
-// capture.
+// log omission, log disorder), stall detection by deadline and by
+// stranded waiter, and panic capture.
 //
 // Every application package under internal/apps exposes a Run function
 // returning a Result, so the harness can measure reproduction
@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"cbreak/internal/locks"
 )
 
 // Status classifies the outcome of one application run.
@@ -172,6 +174,35 @@ func RunWithDeadline(deadline time.Duration, f func() Result) Result {
 		return r
 	case <-time.After(deadline):
 		return Result{Status: Stall, Detail: "deadline exceeded", Elapsed: deadline}
+	}
+}
+
+// AwaitWakeup waits for a goroutine that only the notifier goroutines
+// can wake from cond: it reports ok once woken closes. Once notified
+// closes — every goroutine that could notify cond has exited — a
+// goroutine still parked on cond (Waiters() > 0) can never wake, so the
+// lost wakeup is proven then and there: AwaitWakeup returns a Stall
+// naming the stranded cond instead of waiting out the run's deadline.
+func AwaitWakeup(cond *locks.Cond, notified, woken <-chan struct{}) (stall Result, ok bool) {
+	select {
+	case <-woken:
+		return Result{}, true
+	case <-notified:
+	}
+	// The waiter may still be on its way into the wait; poll until it
+	// either finishes or parks.
+	tick := time.NewTicker(100 * time.Microsecond)
+	defer tick.Stop()
+	for {
+		if cond.Waiters() > 0 {
+			return Result{Status: Stall, Detail: fmt.Sprintf(
+				"lost wakeup: a waiter is parked on %q and every notifier has exited", cond.Name())}, false
+		}
+		select {
+		case <-woken:
+			return Result{}, true
+		case <-tick.C:
+		}
 	}
 }
 

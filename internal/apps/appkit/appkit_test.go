@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cbreak/internal/locks"
 )
 
 func TestStatusStrings(t *testing.T) {
@@ -169,4 +171,57 @@ func TestSeededJitterIsDeterministic(t *testing.T) {
 	if JitterDuration(0) != 0 || JitterDuration(-time.Second) != 0 {
 		t.Fatal("non-positive scale should yield zero jitter")
 	}
+}
+
+func TestAwaitWakeupDelivered(t *testing.T) {
+	mu := locks.NewMutex("appkit.await.mu")
+	c := locks.NewCond("appkit.await.delivered", mu)
+	woken, notified := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(woken)
+		mu.Lock()
+		c.Wait()
+		mu.Unlock()
+	}()
+	go func() {
+		defer close(notified)
+		for c.Waiters() == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		mu.Lock()
+		c.Notify()
+		mu.Unlock()
+	}()
+	if res, ok := AwaitWakeup(c, notified, woken); !ok {
+		t.Fatalf("a delivered notify was called a stall: %s", res)
+	}
+}
+
+func TestAwaitWakeupStrandedWaiter(t *testing.T) {
+	mu := locks.NewMutex("appkit.await.mu")
+	c := locks.NewCond("appkit.await.stranded", mu)
+	woken, notified := make(chan struct{}), make(chan struct{})
+	// The only notify fires before anyone waits: lost.
+	c.Notify()
+	close(notified)
+	go func() {
+		defer close(woken)
+		// Reach the wait late, after the notifier is gone.
+		time.Sleep(5 * time.Millisecond)
+		mu.Lock()
+		c.Wait()
+		mu.Unlock()
+	}()
+	res, ok := AwaitWakeup(c, notified, woken)
+	if ok || res.Status != Stall {
+		t.Fatalf("stranded waiter not reported: ok=%v %s", ok, res)
+	}
+	if !strings.Contains(res.Detail, `"appkit.await.stranded"`) {
+		t.Fatalf("detail does not name the cond: %q", res.Detail)
+	}
+	// Release the stranded waiter so the test leaks nothing.
+	mu.Lock()
+	c.Notify()
+	mu.Unlock()
+	<-woken
 }

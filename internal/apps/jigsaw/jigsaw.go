@@ -368,50 +368,73 @@ func runDeadlock2(f *Factory, cfg *Config) appkit.Result {
 
 func runMissedNotify(f *Factory, cfg *Config) appkit.Result {
 	f.idleCount.Store("setup", 0) // exhausted: reaper must wait
-	done := make(chan struct{}, 1)
+	reaped, notified := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(reaped)
 		f.AwaitClientAvailable()
-		done <- struct{}{}
 	}()
 	go func() {
+		defer close(notified)
 		time.Sleep(time.Millisecond)
 		f.mu.Lock()
 		f.idleCount.Store("release", 1)
 		f.mu.Unlock()
 		f.NotifyClientAvailable()
 	}()
-	<-done
+	// The release is the only notifier: once it is done, a reaper still
+	// waiting has lost its wakeup for good.
+	if stall, ok := appkit.AwaitWakeup(f.reapCond, notified, reaped); !ok {
+		return stall
+	}
 	return appkit.Result{Status: appkit.OK}
 }
 
+// race1TurnWait bounds how long a connection loop waits for the other
+// loop's idle-count update to finish before starting its own.
+const race1TurnWait = 2 * time.Millisecond
+
 func runRace1(f *Factory, cfg *Config) appkit.Result {
+	// The connection loops update the idle count one at a time: each
+	// waits for the other's update to finish first, so left alone they
+	// never interleave and only the breakpoint-forced interleaving loses
+	// an update. Sleep cadences cannot keep them apart: the runtime
+	// rounds sub-millisecond sleeps up to its timer tick, which wakes
+	// both loops together. The wait is bounded because a loop parked at
+	// the breakpoint mid-update keeps its turn, and its partner must
+	// still reach the breakpoint.
+	turn := make(chan struct{}, 1)
+	turn <- struct{}{}
+	inTurn := func(update func(worker int), w int) {
+		select {
+		case <-turn:
+			defer func() { turn <- struct{}{} }()
+		case <-time.After(race1TurnWait):
+		}
+		update(w)
+	}
 	var wg sync.WaitGroup
 	wg.Add(2)
 	for w := 0; w < 2; w++ {
 		go func(w int) {
 			defer wg.Done()
-			// Distinct per-worker cadences keep the two connection
-			// loops out of phase, so only the breakpoint-forced
-			// interleaving loses an update.
 			work := time.Duration(400+300*w) * time.Microsecond
 			for i := 0; i < cfg.requests()/2; i++ {
-				f.decrIdleCount(w)
+				inTurn(f.decrIdleCount, w)
 				time.Sleep(work) // connection work
-				f.incrIdleCount(w)
+				inTurn(f.incrIdleCount, w)
 				time.Sleep(work / 2) // idle gap
 			}
 		}(w)
 	}
 	wg.Wait()
-	// Shutdown barrier: waits for all clients to be idle again. A lost
-	// update leaves the counter off forever — the paper's race1 stall.
-	// The spin is bounded so an abandoned run's goroutine terminates.
-	deadline := time.Now().Add(2 * cfg.stallAfter())
-	for f.idleCount.Load("barrier") != 4 {
-		if time.Now().After(deadline) {
-			return appkit.Result{Status: appkit.Stall, Detail: "idle-count barrier never satisfied"}
-		}
-		time.Sleep(time.Millisecond)
+	// Shutdown barrier: waits for all clients to be idle again. Both
+	// workers have joined, so nothing writes the counter any more: a
+	// lost update leaves it off forever — the paper's race1 stall,
+	// proven by one read instead of waited out.
+	want := int64(len(f.csList.clients))
+	if idle := f.idleCount.Load("barrier"); idle != want {
+		return appkit.Result{Status: appkit.Stall, Detail: fmt.Sprintf(
+			"idle-count barrier can no longer be met: idle=%d, want %d, and no writer is left", idle, want)}
 	}
 	return appkit.Result{Status: appkit.OK}
 }

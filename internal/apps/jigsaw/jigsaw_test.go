@@ -127,6 +127,34 @@ func TestRace1StallReproduces(t *testing.T) {
 	}
 }
 
+func TestMissedNotifyStallReportedWhenNotifierFinishes(t *testing.T) {
+	const stallAfter = 400 * time.Millisecond
+	for i := 0; i < 5; i++ {
+		r := Run(Config{Engine: core.NewEngine(), Bug: MissedNotify, Breakpoint: true,
+			Timeout: 300 * time.Millisecond, StallAfter: stallAfter})
+		if r.Status != appkit.Stall || !r.BPHit {
+			t.Fatalf("run %d: %s", i, r)
+		}
+		if r.Elapsed >= stallAfter/2 {
+			t.Fatalf("run %d waited %v of its %v stall deadline: %s", i, r.Elapsed, stallAfter, r)
+		}
+		if !strings.Contains(r.Detail, `"jigsaw.reap"`) {
+			t.Fatalf("run %d: detail does not name the stranded cond: %q", i, r.Detail)
+		}
+	}
+}
+
+func TestRace1StallDetailNamesBarrier(t *testing.T) {
+	r := Run(Config{Engine: core.NewEngine(), Bug: Race1, Breakpoint: true,
+		Timeout: 300 * time.Millisecond, StallAfter: 400 * time.Millisecond})
+	if r.Status != appkit.Stall || !r.BPHit {
+		t.Fatalf("race1: %s", r)
+	}
+	if !strings.Contains(r.Detail, "barrier can no longer be met") {
+		t.Fatalf("race1 detail = %q", r.Detail)
+	}
+}
+
 func TestRace2Reproduces(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		e := core.NewEngine()

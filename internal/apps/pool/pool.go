@@ -8,7 +8,6 @@
 package pool
 
 import (
-	"fmt"
 	"time"
 
 	"cbreak/internal/apps/appkit"
@@ -134,7 +133,8 @@ func (c *Config) stallAfter() time.Duration {
 
 // Run exercises the missed-notification scenario: the pool is
 // exhausted, a third borrower arrives, and a holder returns its object
-// concurrently. A lost wakeup stalls the borrower.
+// concurrently. A lost wakeup stalls the borrower; the run reports the
+// stall as soon as the return has finished and the borrower is parked.
 func Run(cfg Config) appkit.Result {
 	if cfg.Engine == nil {
 		cfg.Engine = core.NewEngine()
@@ -145,22 +145,28 @@ func Run(cfg Config) appkit.Result {
 		b := pool.Borrow()
 		_ = b
 
-		borrowed := make(chan *Object, 1)
-		go func() { borrowed <- pool.Borrow() }()
+		var obj *Object
+		borrowed, returned := make(chan struct{}), make(chan struct{})
 		go func() {
+			defer close(borrowed)
+			obj = pool.Borrow()
+		}()
+		go func() {
+			defer close(returned)
 			// Give the borrower time to reach the exhausted test.
 			time.Sleep(time.Millisecond)
 			pool.Return(a)
 		}()
-		obj := <-borrowed
+		// The return is the only notifier: once it is done, a borrower
+		// still waiting has lost its wakeup for good.
+		if stall, ok := appkit.AwaitWakeup(pool.cond, returned, borrowed); !ok {
+			return stall
+		}
 		if obj == nil {
 			return appkit.Result{Status: appkit.TestFail, Detail: "nil object borrowed"}
 		}
 		return appkit.Result{Status: appkit.OK}
 	})
-	if res.Status == appkit.Stall {
-		res.Detail = fmt.Sprintf("borrower stalled waiting on %q", "pool.available")
-	}
 	res.BPHit = cfg.Engine.Stats(BPMissedNotify).Hits() > 0
 	return res
 }

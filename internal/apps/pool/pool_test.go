@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -62,6 +63,23 @@ func TestMissedNotifyBreakpointReproducesStall(t *testing.T) {
 			Timeout: 500 * time.Millisecond, StallAfter: 300 * time.Millisecond})
 		if r.Status != appkit.Stall || !r.BPHit {
 			t.Fatalf("run %d: %s", i, r)
+		}
+	}
+}
+
+func TestMissedNotifyStallReportedWhenReturnFinishes(t *testing.T) {
+	const stallAfter = 300 * time.Millisecond
+	for i := 0; i < 5; i++ {
+		r := Run(Config{Engine: core.NewEngine(), Breakpoint: true,
+			Timeout: 500 * time.Millisecond, StallAfter: stallAfter})
+		if r.Status != appkit.Stall || !r.BPHit {
+			t.Fatalf("run %d: %s", i, r)
+		}
+		if r.Elapsed >= stallAfter/2 {
+			t.Fatalf("run %d waited %v of its %v stall deadline: %s", i, r.Elapsed, stallAfter, r)
+		}
+		if !strings.Contains(r.Detail, `"pool.available"`) {
+			t.Fatalf("run %d: detail does not name the stranded cond: %q", i, r.Detail)
 		}
 	}
 }

@@ -14,14 +14,19 @@
 // the paper's swing rows show 5x-12x runtime overhead — while the
 // isLockTypeHeld(BasicCaret) refinement (Config.Refined here, using
 // locks.ClassHeldPred) pauses only in the deadlock-capable context,
-// cutting the overhead without losing probability. Event jitter makes
-// the rendezvous probabilistic at short pauses (0.63 at 100ms in the
-// paper) and near-certain at long ones (0.99 at 1s) — the section 6.2
-// sweep.
+// cutting the overhead without losing probability.
+//
+// The window opens with its full paint pending and the text field
+// focused, so the EDT's first event shows the caret while the repaint
+// timer is about to paint the text field: the breakpoint's rendezvous.
+// The paper reports 0.63 at 100ms and 0.99 at 1s (the section 6.2
+// sweep); here the blink and the paint meet within the event jitter,
+// so every pause of the sweep reproduces.
 package swing
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"cbreak/internal/apps/appkit"
@@ -75,10 +80,12 @@ func (c *Component) Bounds() Rect {
 	return c.bounds
 }
 
-// RepaintManager collects dirty regions per component and repaints them.
+// RepaintManager collects dirty regions per component and repaints them
+// in the order the components first became dirty.
 type RepaintManager struct {
 	mu      *locks.Mutex
 	dirty   map[*Component]Rect
+	order   []*Component // dirty components, first-dirtied first
 	painted int
 	cfg     *Config
 }
@@ -113,6 +120,14 @@ func (rm *RepaintManager) AddDirtyRegion(comp *Component, r Rect) {
 	}
 	rm.mu.LockAt("RepaintManager.java:addDirtyRegion")
 	defer rm.mu.Unlock()
+	rm.markDirty(comp, r)
+}
+
+// markDirty merges r into comp's dirty region; rm.mu must be held.
+func (rm *RepaintManager) markDirty(comp *Component, r Rect) {
+	if _, ok := rm.dirty[comp]; !ok {
+		rm.order = append(rm.order, comp)
+	}
 	rm.dirty[comp] = union(rm.dirty[comp], r)
 }
 
@@ -128,7 +143,8 @@ func (rm *RepaintManager) PaintDirtyRegions() int {
 	if rm.cfg != nil && rm.cfg.Breakpoint {
 		bpDeadlock = rm.cfg.Engine.Breakpoint(BPDeadlock)
 	}
-	for comp, r := range rm.dirty {
+	for _, comp := range rm.order {
+		r := rm.dirty[comp]
 		if bpDeadlock != nil {
 			bpDeadlock.Trigger(
 				core.NewDeadlockTrigger(BPDeadlock, rm.mu, comp.mu), false,
@@ -147,6 +163,7 @@ func (rm *RepaintManager) PaintDirtyRegions() int {
 		painted++
 		delete(rm.dirty, comp)
 	}
+	rm.order = rm.order[:0]
 	rm.painted += painted
 	return painted
 }
@@ -195,7 +212,7 @@ type Config struct {
 	// Events is the EDT workload length (default 60).
 	Events int
 	// EventJitter is the per-event processing time scale (default
-	// 500µs): the source of rendezvous misses at short pauses.
+	// 500µs), drawn per event from the run's seeded stream.
 	EventJitter time.Duration
 	// PaintCycles is how many repaint-timer cycles run (default 10).
 	PaintCycles int
@@ -231,7 +248,14 @@ func (c *Config) paintCycles() int {
 
 // Run drives an EDT processing a mixed event stream (caret blinks and
 // plain repaints) against a repaint timer; the crossed lock orders
-// deadlock when the breakpoint aligns a blink with a paint cycle.
+// deadlock when the breakpoint aligns a blink with a paint cycle. The
+// window starts with its initial full paint pending, and the event
+// kinds and their jitter are drawn from a stream seeded off the appkit
+// jitter stream, so each trial's event sequence follows its seed.
+//
+// The run reports Stall only when the EDT and the repaint timer are in
+// the lock cycle at the stall deadline; a run that is merely slowed
+// past it by pauses has not reproduced the bug and reports OK.
 func Run(cfg Config) appkit.Result {
 	if cfg.Engine == nil {
 		cfg.Engine = core.NewEngine()
@@ -240,18 +264,35 @@ func Run(cfg Config) appkit.Result {
 	text := NewCaretComponent("textField", Rect{0, 0, 200, 20})
 	button := NewComponent("button", Rect{0, 30, 80, 24})
 	caret := NewCaret(text, rm)
+	rm.mu.With(func() {
+		rm.markDirty(text, text.bounds)
+		rm.markDirty(button, button.bounds)
+	})
+	rng := appkit.NewStream(appkit.JitterSeed())
+	quit := make(chan struct{})
 
 	res := appkit.RunWithDeadline(cfg.stallAfter(), func() appkit.Result {
 		done := make(chan struct{}, 2)
 		edtDone := make(chan struct{})
-		// EDT: mixed event stream with deterministic jitter.
+		// EDT: mixed event stream with seeded jitter.
 		go func() {
-			h := uint64(99991)
+			defer func() { done <- struct{}{} }()
+			defer close(edtDone)
 			for i := 0; i < cfg.events(); i++ {
-				h = h*6364136223846793005 + 1442695040888963407
-				d := time.Duration(h % uint64(cfg.jitter()))
-				time.Sleep(d)
-				switch i % 3 {
+				time.Sleep(rng.Duration(cfg.jitter()))
+				select {
+				case <-quit:
+					return
+				default:
+				}
+				kind := rng.Intn(3)
+				if i == 0 {
+					// The text field takes focus as the window opens:
+					// its caret is shown by a first blink while the
+					// initial paint is still pending.
+					kind = 0
+				}
+				switch kind {
 				case 0:
 					caret.Blink() // deadlock-capable context
 				case 1:
@@ -262,25 +303,24 @@ func Run(cfg Config) appkit.Result {
 					rm.AddDirtyRegion(button, Rect{0, 30, 80, 24}) // harmless context
 				}
 			}
-			close(edtDone)
-			done <- struct{}{}
 		}()
 		// Repaint timer: runs for the EDT's whole lifetime (like the
 		// real Swing repaint timer), at least paintCycles times.
 		go func() {
-			i := 0
-			for {
+			defer func() { done <- struct{}{} }()
+			for i := 1; ; i++ {
 				time.Sleep(2 * time.Millisecond)
 				rm.PaintDirtyRegions()
-				i++
-				if i >= cfg.paintCycles() {
-					select {
-					case <-edtDone:
-						rm.PaintDirtyRegions()
-						done <- struct{}{}
-						return
-					default:
-					}
+				if i < cfg.paintCycles() {
+					continue
+				}
+				select {
+				case <-edtDone:
+					rm.PaintDirtyRegions()
+					return
+				case <-quit:
+					return
+				default:
 				}
 			}
 		}()
@@ -288,9 +328,37 @@ func Run(cfg Config) appkit.Result {
 		<-done
 		return appkit.Result{Status: appkit.OK}
 	})
+	close(quit)
 	if res.Status == appkit.Stall {
-		res.Detail = fmt.Sprintf("EDT and repaint timer deadlocked (refined=%v)", cfg.Refined)
+		if rm.deadlocked(text, button) {
+			res.Detail = fmt.Sprintf("EDT and repaint timer deadlocked (refined=%v)", cfg.Refined)
+		} else {
+			res.Status = appkit.OK
+			res.Detail = "not reproduced: unfinished at the stall deadline, but no lock cycle"
+		}
 	}
 	res.BPHit = cfg.Engine.Stats(BPDeadlock).Hits() > 0
 	return res
+}
+
+// deadlocked reports whether the EDT/repaint lock cycle exists: one
+// goroutine blocked on the manager lock while it holds a component's
+// monitor, which the manager lock's holder is blocked on.
+func (rm *RepaintManager) deadlocked(comps ...*Component) bool {
+	edges := locks.WaitEdges()
+	for _, onRM := range edges {
+		if onRM.Mutex() != rm.mu {
+			continue
+		}
+		for _, onComp := range edges {
+			for _, c := range comps {
+				if onComp.Mutex() == c.mu &&
+					slices.Contains(onRM.Owners, onComp.Waiter) &&
+					slices.Contains(onComp.Owners, onRM.Waiter) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }

@@ -3,6 +3,7 @@ package detect
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"cbreak/internal/locks"
 	"cbreak/internal/memory"
@@ -213,15 +214,12 @@ func TestContentionReport(t *testing.T) {
 		m.Unlock()
 		close(done)
 	}()
-	// The BeforeLock hook fires before blocking; wait for the report.
-	deadlineExceeded := true
-	for i := 0; i < 1000; i++ {
-		if len(d.ReportsOf(KindContention)) > 0 {
-			deadlineExceeded = false
-			break
-		}
+	// The BeforeLock hook fires before blocking; wait for the report
+	// (bounded, so a missing report fails below instead of hanging).
+	for deadline := time.Now().Add(5 * time.Second); len(d.ReportsOf(KindContention)) == 0 &&
+		time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
 	}
-	_ = deadlineExceeded
 	w.run(0, func() { m.Unlock() })
 	<-done
 	cont := d.ReportsOf(KindContention)

@@ -183,10 +183,12 @@ func Table1With(runs int, run Runner) Table {
 	for i, row := range Table1Rows() {
 		base := run(specs[2*i])
 		with := run(specs[2*i+1])
-		// Stall rows report the stall-detection deadline as their
-		// runtime, so an overhead percentage is meaningless — the paper
-		// likewise omits runtimes for stalls ("we report the time that
-		// we first detected the stall").
+		// A stall row's runtime is when the stall was detected — the
+		// wait-graph proof of a lock cycle, a stranded waiter or lost
+		// update seen by the app, or failing those the stall deadline —
+		// not a finished run, so an overhead percentage is meaningless.
+		// The paper likewise reports "the time that we first detected
+		// the stall".
 		overhead := fmtPct(Overhead(base.MedianTime, with.MedianTime))
 		if with.DominantError() == "stall" {
 			overhead = "-"

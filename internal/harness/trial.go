@@ -140,10 +140,13 @@ func PublishOutcome(key TrialKey, out TrialOutcome, attempts int) {
 }
 
 // trialSupervisor starts the per-trial wait-graph supervisor. Every
-// trial gets one: a confirmed application deadlock classifies the trial
-// as a stall in milliseconds instead of waiting out the app's own stall
-// deadline (or the per-trial wall clock), and a confirmed postponement
-// stall is healed through the engine's shared forced-release path.
+// trial gets one: an application lock cycle is proven on the first scan
+// that sees it (within one 5ms interval of forming) and ends the trial
+// as a stall, and a confirmed postponement stall is healed through the
+// engine's shared forced-release path. Stalls that are not lock cycles
+// (lost wakeups, lost updates) are classified by the apps themselves;
+// an app's stall deadline, and the per-trial wall clock, are only the
+// fallback for a stall nothing could prove.
 func trialSupervisor(e *core.Engine) *waitgraph.Supervisor {
 	sup := waitgraph.New(e, waitgraph.Config{})
 	sup.Start()
@@ -151,8 +154,9 @@ func trialSupervisor(e *core.Engine) *waitgraph.Supervisor {
 }
 
 // confirmedStall builds the early-exit result for a wait-graph deadlock
-// confirmation, naming the cycle in the detail.
-func confirmedStall(sup *waitgraph.Supervisor, elapsed time.Duration) appkit.Result {
+// confirmation, naming the cycle in the detail. The app never returned,
+// so whether its breakpoint was hit is read off the engine.
+func confirmedStall(e *core.Engine, sup *waitgraph.Supervisor, elapsed time.Duration) appkit.Result {
 	detail := "wait-graph deadlock confirmed"
 	for _, r := range sup.Reports() {
 		if r.Kind == waitgraph.ReportDeadlock {
@@ -160,7 +164,11 @@ func confirmedStall(sup *waitgraph.Supervisor, elapsed time.Duration) appkit.Res
 			break
 		}
 	}
-	return appkit.Result{Status: appkit.Stall, Detail: detail, Elapsed: elapsed}
+	res := appkit.Result{Status: appkit.Stall, Detail: detail, Elapsed: elapsed}
+	for _, s := range e.SnapshotAll() {
+		res.BPHit = res.BPHit || s.Hits > 0
+	}
+	return res
 }
 
 // RunTrial executes one trial of the spec on a fresh engine with no
@@ -181,7 +189,7 @@ func RunTrial(spec TrialSpec) TrialOutcome {
 	case res := <-done:
 		out = outcomeFrom(e, sup, res)
 	case <-sup.Confirmed():
-		out = outcomeFrom(e, sup, confirmedStall(sup, time.Since(start)))
+		out = outcomeFrom(e, sup, confirmedStall(e, sup, time.Since(start)))
 	}
 	PublishOutcome(spec.Key, out, 0)
 	return out
@@ -224,7 +232,7 @@ func RunTrialCtx(ctx context.Context, deadline time.Duration, spec TrialSpec) Tr
 	select {
 	case res = <-done:
 	case <-sup.Confirmed():
-		res = confirmedStall(sup, time.Since(start))
+		res = confirmedStall(e, sup, time.Since(start))
 	case <-expire:
 		res = appkit.Result{Status: appkit.TrialTimeout,
 			Detail: fmt.Sprintf("trial exceeded %s deadline", deadline), Elapsed: deadline}

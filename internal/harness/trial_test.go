@@ -274,3 +274,62 @@ func TestRunTrialCtxConfirmsDeadlockEarly(t *testing.T) {
 		t.Fatalf("cycles did not survive the JSON round-trip: %+v", back.Cycles)
 	}
 }
+
+// rowsLabelled returns the breakpoint variants of the Table 1 rows
+// labelled label (several rows can share one label).
+func rowsLabelled(t *testing.T, label string) []TrialSpec {
+	t.Helper()
+	var out []TrialSpec
+	for _, s := range TableSpecs("1", 1) {
+		if s.Label == label && s.Key.Variant == VariantWith {
+			out = append(out, s)
+		}
+	}
+	if len(out) == 0 {
+		t.Fatalf("no Table 1 row labelled %q", label)
+	}
+	return out
+}
+
+// The swing rows reproduce through a formal breakpoint hit, and the
+// stall is the wait graph's proof of the caret/RepaintManager cycle —
+// not pauses pushing the run past its stall deadline.
+func TestSwingRowsReproduceThroughConfirmedCycle(t *testing.T) {
+	for _, spec := range rowsLabelled(t, "swing/deadlock1") {
+		const trials = 20
+		proven := 0
+		for i := 0; i < trials; i++ {
+			res := RunTrialCtx(context.Background(), 10*time.Second, spec).Result
+			if res.Status == appkit.Stall && res.BPHit &&
+				strings.HasPrefix(res.Detail, "wait-graph deadlock confirmed") {
+				proven++
+			}
+			if res.Status == appkit.Stall && !res.BPHit {
+				t.Fatalf("%s trial %d stalled without a breakpoint hit: %s", spec.Key, i, res)
+			}
+		}
+		if proven < trials-1 {
+			t.Fatalf("%s: %d/%d trials hit and confirmed the cycle", spec.Key, proven, trials)
+		}
+	}
+}
+
+// The missed-notify rows end when the lost wakeup is proven, not when
+// the stall deadline runs out.
+func TestMissedNotifyRowsEndWellBeforeStallDeadline(t *testing.T) {
+	specs := append(rowsLabelled(t, "pool/missed-notify1"), rowsLabelled(t, "jigsaw/missed-notify1")...)
+	for _, spec := range specs {
+		for i := 0; i < 5; i++ {
+			res := RunTrialCtx(context.Background(), 10*time.Second, spec).Result
+			if res.Status != appkit.Stall || !res.BPHit {
+				t.Fatalf("%s trial %d: %s", spec.Label, i, res)
+			}
+			if res.Elapsed >= StallDeadline/2 {
+				t.Fatalf("%s trial %d took %v of its %v stall deadline", spec.Label, i, res.Elapsed, StallDeadline)
+			}
+			if !strings.HasPrefix(res.Detail, "lost wakeup") {
+				t.Fatalf("%s trial %d: detail = %q", spec.Label, i, res.Detail)
+			}
+		}
+	}
+}

@@ -7,18 +7,21 @@ import (
 
 	"cbreak/internal/core"
 	"cbreak/internal/guard"
+	"cbreak/internal/locks"
 	"cbreak/internal/telemetry"
 )
 
 // Config tunes a Supervisor. The zero value is usable: 5ms scans,
-// findings confirmed after 2 consecutive sightings, recovery enabled.
+// deadlocks confirmed on the first scan that proves them, postponement
+// stalls after 2 consecutive sightings, recovery enabled.
 type Config struct {
 	// Interval is the scan period. 0 defaults to 5ms.
 	Interval time.Duration
-	// ConfirmAfter is how many consecutive scans must observe a finding
-	// before the supervisor acts on it — the debounce against acting on
-	// a torn snapshot (capture is a sample, not a transaction). 0
-	// defaults to 2.
+	// ConfirmAfter is how many consecutive scans must observe a
+	// postponement stall before the supervisor breaks it — the debounce
+	// against acting on a torn snapshot (capture is a sample, not a
+	// transaction). Deadlocks do not use it: they are proven within one
+	// scan (see Scan). 0 defaults to 2.
 	ConfirmAfter int
 	// DisableRecovery turns off cycle breaking: stalls are still
 	// detected and reported, but no postponed goroutine is
@@ -30,8 +33,10 @@ type Config struct {
 }
 
 // Supervisor runs the wait-graph scan loop against one engine: every
-// interval it captures the graph, analyzes it, and acts on findings
-// that persist across ConfirmAfter consecutive scans. A confirmed
+// interval it captures the graph, analyzes it, and acts on the
+// findings it can confirm — a deadlock at once, when a second capture
+// proves the cycle permanent, and a postponement stall once it has
+// persisted across ConfirmAfter consecutive scans. A confirmed
 // postponement stall is broken by force-releasing the postponed victim
 // through the engine's shared release path (recorded as a cycle-break
 // incident); a confirmed application-only cycle is latched as a
@@ -45,6 +50,8 @@ type Config struct {
 type Supervisor struct {
 	e   *core.Engine
 	cfg Config
+	// capture snapshots the graph; tests script it.
+	capture func() Graph
 
 	mu       sync.Mutex
 	stop     chan struct{}
@@ -78,6 +85,7 @@ func New(e *core.Engine, cfg Config) *Supervisor {
 	return &Supervisor{
 		e:         e,
 		cfg:       cfg,
+		capture:   func() Graph { return Capture(e) },
 		pending:   map[string]*sighting{},
 		acted:     map[string]bool{},
 		confirmed: make(chan struct{}),
@@ -93,7 +101,7 @@ func (s *Supervisor) Start() {
 		return
 	}
 	s.baseline = map[uint64]bool{}
-	for _, e := range Capture(s.e).LockEdges {
+	for _, e := range s.capture().LockEdges {
 		s.baseline[e.Waiter] = true
 	}
 	stop := make(chan struct{})
@@ -144,22 +152,46 @@ func (s *Supervisor) Reports() []Report {
 // loop to have looked at least once.
 func (s *Supervisor) Scans() int64 { return s.scans.Load() }
 
-// Scan captures and analyzes the wait graph once, acting on findings
-// confirmed by consecutive sightings. It is the loop body, exported so
-// tests (and one-shot classifiers) can drive it synchronously.
+// Scan captures and analyzes the wait graph once and acts on what it
+// confirms. It is the loop body, exported so tests (and one-shot
+// classifiers) can drive it synchronously.
+//
+// A deadlock cycle is confirmed in the scan that first sees it, by
+// proof rather than by waiting: an immediate second capture must show
+// every member still in the same wait (same lock, same start time).
+// Such a goroutine was blocked for the whole interval between the two
+// captures, so it held its locks throughout — including at the moment
+// the first capture read it as the owner its predecessor waits on.
+// Every member is then waiting on a lock a permanently blocked member
+// holds: the cycle is real and can never resolve. A member that left
+// its wait, or left and re-entered it, fails the check, so a cycle
+// assembled from a torn snapshot is never confirmed. Postponement
+// stalls keep the ConfirmAfter streak: their victim can still wake on
+// its own budget, so persistence is the evidence.
 func (s *Supervisor) Scan() {
-	g := Capture(s.e)
+	g := s.capture()
 	found := g.Analyze()
 	scan := s.scans.Add(1)
 
 	s.mu.Lock()
 	var confirmed []Report
+	var later []locks.WaitEdge // the proving capture, taken on demand
 	for _, r := range found {
 		if s.baselined(r) {
 			continue
 		}
 		sig := r.signature()
 		if s.acted[sig] {
+			continue
+		}
+		if r.Kind == ReportDeadlock {
+			if later == nil {
+				later = s.capture().LockEdges
+			}
+			if g.stillWaiting(r.GIDs, later) {
+				s.acted[sig] = true
+				confirmed = append(confirmed, r)
+			}
 			continue
 		}
 		sg := s.pending[sig]
@@ -189,6 +221,35 @@ func (s *Supervisor) Scan() {
 	for _, r := range confirmed {
 		s.act(r)
 	}
+}
+
+// stillWaiting reports whether every goroutine in gids has the same
+// wait record — lock and start time — in the later lock edges as in
+// this snapshot: each was blocked, without a break, from this capture
+// to the later one.
+func (g Graph) stillWaiting(gids []uint64, later []locks.WaitEdge) bool {
+	for _, gid := range gids {
+		before, ok := waitOf(g.LockEdges, gid)
+		if !ok {
+			return false
+		}
+		after, ok := waitOf(later, gid)
+		if !ok || after.Mutex() != before.Mutex() || after.Lock != before.Lock ||
+			!after.Since.Equal(before.Since) {
+			return false
+		}
+	}
+	return true
+}
+
+// waitOf finds gid's wait record among edges.
+func waitOf(edges []locks.WaitEdge, gid uint64) (locks.WaitEdge, bool) {
+	for _, e := range edges {
+		if e.Waiter == gid {
+			return e, true
+		}
+	}
+	return locks.WaitEdge{}, false
 }
 
 // baselined reports whether every lock-blocked goroutine of the finding

@@ -25,8 +25,9 @@
 // (same enumeration, arity > 2). Snapshots are assembled lock-free or
 // one shard/registry at a time — capturing a graph never stops the
 // world, so a snapshot is a sample, not a transaction; the supervisor
-// compensates by requiring a finding to persist across consecutive
-// scans before acting on it.
+// compensates by proving a deadlock with a second capture (every
+// member still in the same wait) and by requiring a postponement stall
+// to persist across consecutive scans before acting on either.
 package waitgraph
 
 import (
